@@ -152,6 +152,18 @@ step "cargo test (offline, whole workspace)"
 cargo test -q --offline --workspace
 
 # ---------------------------------------------------------------------------
+step "mdv-shell tests: 20 repeats with parallel test threads"
+# The shell tests write schema and state files to disk; a shared scratch
+# directory once let one test delete another's files mid-run. Repeating the
+# binary's tests under the default parallel test threads makes such a race
+# fail CI instead of failing one run in three.
+for run in $(seq 1 20); do
+  cargo test -q --offline --bin mdv-shell >/dev/null \
+    || { echo "ERROR: mdv-shell tests failed on repeat $run" >&2; exit 1; }
+done
+echo "ok: mdv-shell tests passed 20 of 20 repeats"
+
+# ---------------------------------------------------------------------------
 step "fault-matrix smoke: fault_sim across fixed seeds"
 # Replays the fault-injection property under pinned harness seeds so
 # regressions in the at-least-once protocol show up with a reproducible
@@ -243,12 +255,11 @@ for seed in "${CI_SEEDS[@]}"; do
 done
 
 # ---------------------------------------------------------------------------
-step "matching-equivalence replay: index/subsumption routes vs scan across fixed seeds"
-# Replays the matching-equivalence properties (all four
-# use_trigger_index × use_subsumption combinations emit byte-identical
-# publications and traces vs the table-scan reference, under covering
-# churn and composed with threads and the update/delete protocol;
-# DESIGN.md §10) under the pinned seed matrix.
+step "matching-equivalence replay: indexed route vs scan across fixed seeds"
+# Replays the matching-equivalence properties (use_trigger_index on emits
+# byte-identical publications and traces vs the table-scan reference,
+# under subscription churn and composed with threads and the update/delete
+# protocol; DESIGN.md §10) under the pinned seed matrix.
 for seed in "${CI_SEEDS[@]}"; do
   MDV_PROP_SEED="$seed" MDV_PROP_CASES=25 \
     cargo test -q --offline -p mdv-filter --test matching_equivalence >/dev/null
@@ -271,6 +282,15 @@ if [[ "$QUICK" == "0" ]]; then
   # -------------------------------------------------------------------------
   step "cargo build --release (offline)"
   cargo build --offline --release
+
+  # -------------------------------------------------------------------------
+  step "end-to-end benchmark: mdvbench smoke tests (own workspace)"
+  # mdvbench drives the public API (ShardedFilterEngine::shard_count/shard/
+  # shard_storages, MdvSystem::durable_on/add_*_durable_on). Building and
+  # testing it here turns an API break into a CI failure rather than a
+  # failed benchmark run.
+  cargo test --release --offline --manifest-path mdvbench/Cargo.toml
+  echo "ok: mdvbench smoke tests"
 
   # -------------------------------------------------------------------------
   step "example smoke pass"
@@ -369,8 +389,8 @@ if [[ "$QUICK" == "0" ]]; then
   step "figures smoke pass: matching-scaling (quick mode, scratch CWD)"
   # Exercises the trigger-matching ablation end to end, including its
   # internal byte-identity gates (publications and Figure-9 traces of the
-  # index/subsumption routes vs the scan reference) and the frontier-shape
-  # asserts. Runs from a scratch CWD so the quick-mode run never clobbers
+  # indexed route vs the scan reference). Runs from a scratch CWD so the
+  # quick-mode run never clobbers
   # the checked-in BENCH_matching_scaling.json (regenerate that with
   # `figures matching-scaling --full`).
   ROOT="$PWD"

@@ -22,10 +22,10 @@
 //! workload and writes machine-readable results to
 //! `BENCH_filter_scaling.json`; `shard-scaling` sweeps the filter shard
 //! count (1/2/4/8, DESIGN.md §8) on the same workload and writes
-//! `BENCH_shard_scaling.json`; `matching-scaling` compares scan,
-//! inverted-index, and index+subsumption trigger matching on the full-text
-//! `contains` workload at varying overlap ratios (DESIGN.md §10), asserts
-//! the three paths publish byte-identically, and writes
+//! `BENCH_shard_scaling.json`; `matching-scaling` compares scan and
+//! inverted-index trigger matching on the full-text `contains` workload at
+//! varying overlap ratios (DESIGN.md §10), asserts the two routes publish
+//! byte-identically, and writes
 //! `BENCH_matching_scaling.json`; `wal-overhead` compares the two backends on
 //! the Figure-11/12 workloads and writes `BENCH_wal_overhead.json`;
 //! `recovery-torture` drives the durable engine over a seeded
@@ -586,9 +586,8 @@ fn run_shard_scaling(config: &Config) {
 }
 
 /// Matching scaling (DESIGN.md §10): batch registration of the full-text
-/// `contains` workload under the three trigger-matching strategies —
-/// per-partition scan, inverted token postings, and postings plus the
-/// subscription-subsumption frontier — across rule-base sizes and
+/// `contains` workload under both trigger-matching routes — per-partition
+/// scan and inverted token postings — across rule-base sizes and
 /// covering-overlap ratios. Publications *and* Figure-9 traces are
 /// asserted byte-identical against the scan reference before anything is
 /// timed (the same gate pattern as `shard-scaling`); results go to stdout
@@ -605,18 +604,11 @@ fn run_matching_scaling(config: &Config) {
         (&[1_000, 5_000], 100)
     };
     let overlaps = [0.0f64, 0.5, 0.9];
-    let variants: &[(&str, bool, bool)] = &[
-        ("scan", false, false),
-        ("subsumption", false, true),
-        ("index", true, false),
-        ("index_subsumption", true, true),
-    ];
+    let variants: &[(&str, bool)] = &[("scan", false), ("index", true)];
     banner(
-        "Matching scaling: contains rules, scan vs inverted index vs subsumption",
+        "Matching scaling: contains rules, scan vs inverted index",
         "expected shape: scan cost grows linearly with the rule count while \
-         the index paths stay near-flat; subsumption shaves the cascade down \
-         to the covering frontier as overlap rises; publications identical \
-         at every point",
+         the index stays near-flat; publications identical at every point",
     );
     let opts = if std::env::var_os("MDV_BENCH_ITERS").is_some() {
         BenchOptions::from_env()
@@ -629,7 +621,7 @@ fn run_matching_scaling(config: &Config) {
 
     let mut json_lines: Vec<String> = Vec::new();
     println!(
-        "rule_count,overlap,frontier,variant,median_ms,ms_per_doc,trigger_evals,speedup_vs_scan"
+        "rule_count,overlap,families,variant,median_ms,ms_per_doc,trigger_evals,speedup_vs_scan"
     );
     for &rc in rule_counts {
         for &overlap in &overlaps {
@@ -642,16 +634,10 @@ fn run_matching_scaling(config: &Config) {
                 overlap,
                 FilterConfig {
                     use_trigger_index: false,
-                    use_subsumption: false,
                     threads: config.threads,
                     ..FilterConfig::default()
                 },
             );
-            let (frontier, covered) = base
-                .trigger_index()
-                .contains_frontier("CycleProvider", "serverHost");
-            assert_eq!(frontier as u64, families, "frontier = covering families");
-            assert_eq!(covered as u64, rc - families, "refinements are covered");
             let (ref_pubs, ref_run) = {
                 let mut engine = base.clone();
                 engine
@@ -663,12 +649,12 @@ fn run_matching_scaling(config: &Config) {
                 (overlap * 100.0) as u64
             );
             let mut baseline_ns = 0u64;
-            for &(name, index, subsumption) in variants {
+            for &(name, index) in variants {
                 // byte-identity gate: publications and the iteration trace
                 // must match the scan reference before timing
                 let evals = {
                     let mut engine = base.clone();
-                    engine.set_matching(index, subsumption);
+                    engine.set_matching(index);
                     let (pubs, run) = engine
                         .register_batch_traced(&docs)
                         .expect("variant registers");
@@ -686,7 +672,7 @@ fn run_matching_scaling(config: &Config) {
                     opts,
                     || {
                         let mut engine = base.clone();
-                        engine.set_matching(index, subsumption);
+                        engine.set_matching(index);
                         engine
                     },
                     |mut engine| {
@@ -700,7 +686,7 @@ fn run_matching_scaling(config: &Config) {
                     "{},{},{},{},{:.3},{:.5},{},{:.2}x",
                     rc,
                     overlap,
-                    frontier,
+                    families,
                     name,
                     stats.median_ns as f64 / 1e6,
                     stats.median_ns as f64 / 1e6 / batch as f64,

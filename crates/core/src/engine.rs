@@ -47,18 +47,14 @@ pub struct FilterConfig {
     /// [`crate::ShardedFilterEngine`], ignored by a bare [`FilterEngine`].
     /// Publications are byte-identical for every value.
     pub shards: usize,
-    /// Consult the inverted token postings for `contains` trigger matching
-    /// (DESIGN.md §10) instead of scanning every rule of the
-    /// `(class, property)` partition. On (the default) or off, publications
-    /// and traces are byte-identical; only
+    /// Match `contains` triggers through the inverted token postings and
+    /// the ordered numeric operators (`<`, `<=`, `>`, `>=`) through sorted
+    /// threshold chains (DESIGN.md §10) instead of scanning every rule of
+    /// the `(class, property)` partition. On (the default) or off,
+    /// publications and traces are byte-identical; only
     /// [`FilterStats::trigger_evals`](crate::FilterStats) and wall-clock
     /// time change.
     pub use_trigger_index: bool,
-    /// Evaluate only the subscription-subsumption frontier for `contains`
-    /// and the ordered numeric operators (`<`, `<=`, `>`, `>=`), fanning
-    /// matches out to covered rules (DESIGN.md §10). Output is
-    /// byte-identical on (the default) or off.
-    pub use_subsumption: bool,
 }
 
 impl Default for FilterConfig {
@@ -68,7 +64,6 @@ impl Default for FilterConfig {
             threads: 1,
             shards: 1,
             use_trigger_index: true,
-            use_subsumption: true,
         }
     }
 }
@@ -112,9 +107,8 @@ pub struct FilterEngine<S: StorageEngine = Database> {
     next_sub: u64,
     pub(crate) stats: FilterStats,
     config: FilterConfig,
-    /// Incremental matching index (inverted `contains` postings, cover
-    /// forest, ordered-op chains). Always maintained; consulted per the
-    /// `use_trigger_index` / `use_subsumption` config knobs.
+    /// Incremental matching index (inverted `contains` postings, ordered-op
+    /// chains). Always maintained; consulted when `use_trigger_index` is on.
     triggers: TriggerIndex,
 }
 
@@ -241,22 +235,14 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
         self.config.threads = threads.max(1);
     }
 
-    /// Sets the trigger-matching strategy for subsequent filter runs
+    /// Chooses indexed or scan trigger matching for subsequent filter runs
     /// (DESIGN.md §10). Safe to flip at any time — the index structures
     /// are maintained on every subscribe/unsubscribe regardless of the
-    /// knobs; the knobs only govern whether matching consults them.
-    /// Publications and traces are byte-identical for every combination;
-    /// the matching-scaling benchmark flips these to compare the paths.
-    pub fn set_matching(&mut self, use_trigger_index: bool, use_subsumption: bool) {
+    /// switch; it only governs whether matching consults them.
+    /// Publications and traces are byte-identical either way; the
+    /// matching-scaling benchmark flips it to compare the two routes.
+    pub fn set_matching(&mut self, use_trigger_index: bool) {
         self.config.use_trigger_index = use_trigger_index;
-        self.config.use_subsumption = use_subsumption;
-    }
-
-    /// Read access to the trigger-matching index (postings, subsumption
-    /// frontier, threshold chains) — introspection for tests and the
-    /// matching-scaling study.
-    pub fn trigger_index(&self) -> &TriggerIndex {
-        &self.triggers
     }
 
     /// Maps `f` over `items`, fanning out across `config.threads` scoped
@@ -665,8 +651,8 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
     ///
     /// Per operator, the probe routes through the cheapest exact structure
     /// the config allows (DESIGN.md §10): string equality always uses the
-    /// hash index on `(class, property, value)`; `contains` consults the
-    /// inverted token postings and/or the subsumption frontier; the ordered
+    /// hash index on `(class, property, value)`. With `use_trigger_index`
+    /// on, `contains` consults the inverted token postings and the ordered
     /// numeric operators walk the sorted threshold chain; everything else
     /// scans its `(class, property)` partition. All paths emit matches in
     /// ascending rule-id order — the scan's order — so the choice is
@@ -693,7 +679,7 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
         // identical to the sequential result for any thread count. Eval
         // counts come back per atom and are summed in input order so the
         // stats are thread-deterministic too.
-        let cfg = self.config;
+        let indexed = self.config.use_trigger_index;
         let per_atom = self.par_map(atoms, |atom| -> Result<(Vec<(String, RuleId)>, u64)> {
             let mut out = Vec::new();
             let mut evals = 0u64;
@@ -705,17 +691,12 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
                 }
                 for op in &active_ops {
                     let (hits, n) = match *op {
-                        TriggerOp::Contains if cfg.use_trigger_index || cfg.use_subsumption => {
-                            self.triggers.match_contains(
-                                class,
-                                &atom.property,
-                                &atom.value,
-                                cfg.use_trigger_index,
-                                cfg.use_subsumption,
-                            )
+                        TriggerOp::Contains if indexed => {
+                            self.triggers
+                                .match_contains(class, &atom.property, &atom.value)
                         }
                         TriggerOp::Lt | TriggerOp::Le | TriggerOp::Gt | TriggerOp::Ge
-                            if cfg.use_subsumption =>
+                            if indexed =>
                         {
                             self.triggers
                                 .match_ordered(*op, class, &atom.property, &atom.value)
@@ -783,9 +764,11 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
         }
 
         // With no pool configured, the classic single-pass loop wins: it
-        // probes lazily and keeps no lookup/probe side tables, which is
-        // measurably cheaper than the enumerate/probe/evaluate phases
-        // below run on one thread. The two bodies must stay
+        // probes lazily and keeps no lookup/probe side tables. Running the
+        // phased body on one thread instead lost all 4 paired runs of the
+        // end-to-end benchmark's `subscribe_churn` workload (2-CPU x86-64
+        // host): publish latency rose 5–14 % and set-up time 6–33 %
+        // (EXPERIMENTS.md, thread scaling). The two bodies must stay
         // result-identical — `tests/parallel_determinism.rs` diffs them
         // (publications, traces, stats) over randomized workloads.
         let candidates = if self.config.threads > 1 {

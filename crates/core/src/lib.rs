@@ -71,11 +71,10 @@
 //! shards ([`ShardedFilterEngine`], [`FilterConfig::shards`]) with
 //! byte-identical publications at any shard count — `DESIGN.md` §8.
 //! Trigger matching itself is index-accelerated: `contains` rules sit in
-//! an inverted token-postings index and a subscription-subsumption
-//! frontier ([`TriggerIndex`], [`FilterConfig::use_trigger_index`],
-//! [`FilterConfig::use_subsumption`]) with byte-identical output either
-//! way — `DESIGN.md` §10. `DESIGN.md` §4 holds the workspace-wide module
-//! map locating this crate's files.
+//! an inverted token-postings index and ordered comparisons in sorted
+//! threshold chains ([`TriggerIndex`], [`FilterConfig::use_trigger_index`])
+//! with byte-identical output either way — `DESIGN.md` §10. `DESIGN.md` §4
+//! holds the workspace-wide module map locating this crate's files.
 
 pub mod atoms;
 pub mod decompose;

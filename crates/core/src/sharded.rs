@@ -112,8 +112,6 @@ pub struct ShardedFilterEngine<S: StorageEngine = Database> {
     /// Per shard: shard-local id → global id.
     rev: Vec<HashMap<SubscriptionId, SubscriptionId>>,
     next_sub: u64,
-    /// Merged view of the shard stats (see [`ShardedFilterEngine::stats`]).
-    stats: FilterStats,
     config: FilterConfig,
 }
 
@@ -172,7 +170,6 @@ impl<S: StorageEngine + Send + Sync> ShardedFilterEngine<S> {
             routes: BTreeMap::new(),
             rev,
             next_sub: 0,
-            stats: FilterStats::default(),
             config,
         })
     }
@@ -251,8 +248,20 @@ impl<S: StorageEngine + Send + Sync> ShardedFilterEngine<S> {
     /// stats. Across *different* shard counts the summed counters may
     /// legitimately differ (a rule group split over shards re-probes per
     /// shard); the document counters and all published output do not.
-    pub fn stats(&self) -> &FilterStats {
-        &self.stats
+    /// Summed on every call, so the work of subscription changes (initial
+    /// matches, join probes) shows as soon as it is done.
+    pub fn stats(&self) -> FilterStats {
+        let mut agg = *self.shards[0].stats();
+        for shard in &self.shards[1..] {
+            let s = shard.stats();
+            agg.trigger_matches += s.trigger_matches;
+            agg.trigger_evals += s.trigger_evals;
+            agg.join_evaluations += s.join_evaluations;
+            agg.probe_cache_hits += s.probe_cache_hits;
+            agg.probes_executed += s.probes_executed;
+            agg.iterations += s.iterations;
+        }
+        agg
     }
 
     pub fn config(&self) -> &FilterConfig {
@@ -411,7 +420,6 @@ impl<S: StorageEngine + Send + Sync> ShardedFilterEngine<S> {
                 }
             }
         }
-        self.refresh_stats();
         if let Some(e) = first_err {
             return Err(e);
         }
@@ -505,7 +513,7 @@ impl<S: StorageEngine + Send + Sync> ShardedFilterEngine<S> {
     /// Separates a broadcast's per-shard results into merged publications
     /// or the first shard's error (shards hold identical replicas, so they
     /// fail identically; shard order makes the choice deterministic).
-    fn collect_pubs(&mut self, results: Vec<Result<Vec<Publication>>>) -> Result<Vec<Publication>> {
+    fn collect_pubs(&self, results: Vec<Result<Vec<Publication>>>) -> Result<Vec<Publication>> {
         let mut per_shard = Vec::with_capacity(results.len());
         let mut first_err = None;
         for result in results {
@@ -516,7 +524,6 @@ impl<S: StorageEngine + Send + Sync> ShardedFilterEngine<S> {
                 }
             }
         }
-        self.refresh_stats();
         if let Some(e) = first_err {
             return Err(e);
         }
@@ -544,21 +551,6 @@ impl<S: StorageEngine + Send + Sync> ShardedFilterEngine<S> {
             }
         }
         assemble_publications(merged)
-    }
-
-    /// Recomputes the merged stats view after a mutating broadcast.
-    fn refresh_stats(&mut self) {
-        let mut agg = *self.shards[0].stats();
-        for shard in &self.shards[1..] {
-            let s = shard.stats();
-            agg.trigger_matches += s.trigger_matches;
-            agg.trigger_evals += s.trigger_evals;
-            agg.join_evaluations += s.join_evaluations;
-            agg.probe_cache_hits += s.probe_cache_hits;
-            agg.probes_executed += s.probes_executed;
-            agg.iterations += s.iterations;
-        }
-        self.stats = agg;
     }
 }
 
@@ -637,7 +629,7 @@ mod tests {
         let (pubs_one, runs_one) = one.register_batch_traced(&docs).unwrap();
         assert_eq!(pubs_bare, pubs_one);
         assert_eq!(vec![run_bare], runs_one);
-        assert_eq!(bare.stats(), one.stats());
+        assert_eq!(*bare.stats(), one.stats());
         let up_bare = bare.update_document(&doc(2, 1)).unwrap();
         let up_one = one.update_document(&doc(2, 1)).unwrap();
         assert_eq!(up_bare, up_one);

@@ -1,9 +1,8 @@
-//! Exactness of the index-accelerated matching paths (DESIGN.md §10): for
-//! the same rule base and workload, every combination of
-//! `FilterConfig::use_trigger_index` / `use_subsumption` must produce the
-//! same publications and the same Figure-9 iteration trace as the scan
-//! baseline — byte for byte, including under subscription churn that
-//! promotes and demotes subsumption-frontier members.
+//! Exactness of the index-accelerated matching route (DESIGN.md §10): for
+//! the same rule base and workload, `FilterConfig::use_trigger_index` on
+//! must produce the same publications and the same Figure-9 iteration
+//! trace as the scan baseline — byte for byte, including under
+//! subscription churn that drops and re-adds index postings.
 //!
 //! Replayed by `ci/check.sh` under seeds 1 / 31337 / 20020226.
 //!
@@ -65,10 +64,10 @@ fn arb_docs(src: &mut Source, base: usize, max: usize) -> Vec<Document> {
 }
 
 /// A rule base heavy on `contains` with constructed covering pairs — for
-/// each family `k`, the base pattern `.r{k}.grid` covers every refinement
-/// `n{j}.r{k}.grid` — plus ordered numeric rules (the threshold-chain
-/// path), string/numeric equality, and a join shape, so all trigger routes
-/// run in one pass.
+/// each family `k`, every refinement `n{j}.r{k}.grid` contains the base
+/// pattern `.r{k}.grid`, and both share the `r{k}` postings — plus
+/// ordered numeric rules (the threshold-chain path), string/numeric
+/// equality, and a join shape, so all trigger routes run in one pass.
 fn arb_rules(src: &mut Source, max: usize) -> Vec<String> {
     let con = |pat: &str| {
         format!("search CycleProvider c register c where c.serverHost contains '{pat}'")
@@ -104,14 +103,14 @@ fn arb_rules(src: &mut Source, max: usize) -> Vec<String> {
     })
 }
 
-const CONFIGS: [(bool, bool); 4] = [(false, false), (true, false), (false, true), (true, true)];
+/// `use_trigger_index` off (the scan) and on.
+const CONFIGS: [bool; 2] = [false, true];
 
-fn engine_with(rules: &[String], index: bool, subsumption: bool) -> FilterEngine {
+fn engine_with(rules: &[String], index: bool) -> FilterEngine {
     let mut e = FilterEngine::with_config(
         schema(),
         FilterConfig {
             use_trigger_index: index,
-            use_subsumption: subsumption,
             ..FilterConfig::default()
         },
     );
@@ -123,35 +122,28 @@ fn engine_with(rules: &[String], index: bool, subsumption: bool) -> FilterEngine
 
 property! {
     /// One registration pass: publications and the Figure-9 trace agree
-    /// across all four (index, subsumption) combinations, and stats that
-    /// are not eval counters agree too.
-    fn index_and_subsumption_match_scan(src) {
+    /// on both routes, and stats that are not eval counters agree too.
+    fn index_matches_scan(src) {
         let rules = arb_rules(src, 12);
         let docs = arb_docs(src, 0, 12);
 
-        let mut reference = engine_with(&rules, false, false);
+        let mut reference = engine_with(&rules, false);
         let (ref_pubs, ref_run) = reference.register_batch_traced(&docs).unwrap();
 
-        for (index, subsumption) in CONFIGS {
-            let mut e = engine_with(&rules, index, subsumption);
+        for index in CONFIGS {
+            let mut e = engine_with(&rules, index);
             let (pubs, run) = e.register_batch_traced(&docs).unwrap();
-            prop_assert_eq!(
-                &pubs, &ref_pubs,
-                "publications diverged at index={} subsumption={}", index, subsumption
-            );
-            prop_assert_eq!(
-                &run, &ref_run,
-                "trace diverged at index={} subsumption={}", index, subsumption
-            );
+            prop_assert_eq!(&pubs, &ref_pubs, "publications diverged at index={}", index);
+            prop_assert_eq!(&run, &ref_run, "trace diverged at index={}", index);
             prop_assert_eq!(e.stats().trigger_matches, reference.stats().trigger_matches);
         }
     }
 
-    /// Subscription churn: unsubscribing in an adversarial order (coverers
-    /// first promotes covered rules to the frontier; covered first shrinks
-    /// cover sets) and re-subscribing afterwards must leave every config
-    /// publishing identically at each step.
-    fn matching_survives_frontier_churn(src) {
+    /// Subscription churn: unsubscribing in either order (base patterns
+    /// before their refinements, or the reverse) and re-subscribing
+    /// afterwards must leave both routes publishing identically at each
+    /// step.
+    fn matching_survives_subscription_churn(src) {
         let rules = arb_rules(src, 10);
         let docs1 = arb_docs(src, 0, 8);
         let docs2 = arb_docs(src, 100, 8);
@@ -165,12 +157,11 @@ property! {
         let resub = src.bool();
 
         type Outcome = (Vec<Publication>, Vec<Publication>, Vec<Vec<String>>, Vec<Publication>);
-        let run = |index: bool, subsumption: bool| -> Outcome {
+        let run = |index: bool| -> Outcome {
             let mut e = FilterEngine::with_config(
                 schema(),
                 FilterConfig {
                     use_trigger_index: index,
-                    use_subsumption: subsumption,
                     ..FilterConfig::default()
                 },
             );
@@ -205,13 +196,10 @@ property! {
             (p1, p2, initial, p3)
         };
 
-        let baseline = run(false, false);
-        for (index, subsumption) in CONFIGS {
-            let got = run(index, subsumption);
-            prop_assert_eq!(
-                &got, &baseline,
-                "churn outcome diverged at index={} subsumption={}", index, subsumption
-            );
+        let baseline = run(false);
+        for index in CONFIGS {
+            let got = run(index);
+            prop_assert_eq!(&got, &baseline, "churn outcome diverged at index={}", index);
         }
     }
 
@@ -223,12 +211,11 @@ property! {
         let bump = src.i64_in(0..100);
         let delete_idx = src.usize_in(0..docs.len());
 
-        let run = |index: bool, subsumption: bool, threads: usize| {
+        let run = |index: bool, threads: usize| {
             let mut e = FilterEngine::with_config(
                 schema(),
                 FilterConfig {
                     use_trigger_index: index,
-                    use_subsumption: subsumption,
                     threads,
                     ..FilterConfig::default()
                 },
@@ -244,14 +231,13 @@ property! {
             (reg, upd, del)
         };
 
-        let baseline = run(false, false, 1);
-        for (index, subsumption) in CONFIGS {
+        let baseline = run(false, 1);
+        for index in CONFIGS {
             for threads in [1usize, 4] {
-                let got = run(index, subsumption, threads);
+                let got = run(index, threads);
                 prop_assert_eq!(
                     &got, &baseline,
-                    "diverged at index={} subsumption={} threads={}",
-                    index, subsumption, threads
+                    "diverged at index={} threads={}", index, threads
                 );
             }
         }

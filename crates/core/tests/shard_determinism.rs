@@ -149,7 +149,17 @@ property! {
         let (spubs, sruns) = sharded.register_batch_traced(&docs).unwrap();
         prop_assert_eq!(&ppubs, &spubs, "publications diverged");
         prop_assert_eq!(std::slice::from_ref(&prun), &sruns[..], "raw trace diverged");
-        prop_assert_eq!(plain.stats(), sharded.stats(), "stats diverged");
+        prop_assert_eq!(*plain.stats(), sharded.stats(), "stats diverged");
+
+        // A PATH rule registered over existing documents probes the join
+        // counterparts without any document operation; the merged stats
+        // must count that work too.
+        let late = "search CycleProvider c register c where c.serverInformation.memory = 20";
+        let (pid, pinit) = plain.register_subscription(late).unwrap();
+        let (sid, sinit) = sharded.register_subscription(late).unwrap();
+        prop_assert_eq!(pid, sid, "late subscription ids diverged");
+        prop_assert_eq!(pinit, sinit, "late initial matches diverged");
+        prop_assert_eq!(*plain.stats(), sharded.stats(), "stats diverged after a late rule");
     }
 
     /// Registration: publications and the canonical Figure-9 trace are
@@ -186,7 +196,7 @@ property! {
                     &initial, &ref_initial,
                     "initial matches diverged at shards={} threads={}", shards, threads
                 );
-                stats.push(*e.stats());
+                stats.push(e.stats());
             }
             prop_assert_eq!(
                 &stats[0], &stats[1],

@@ -99,9 +99,9 @@ pub fn contains_families(count: u64, overlap: f64) -> u64 {
 /// Family `f`'s *base pattern* `.region{f}.grid` is rule `f`; the remaining
 /// rules are *refinements* `node{j}.region{f}.grid` dealt round-robin over
 /// the families. Every refinement contains its family's base pattern as a
-/// substring, so the base rule covers it: the subsumption frontier holds
-/// exactly the family bases, and the inverted index buckets each family
-/// under its `region{f}` anchor token.
+/// substring, so a value matching a refinement also matches its base, and
+/// the inverted index buckets each family under its `region{f}` anchor
+/// token.
 pub fn contains_rules(count: u64, overlap: f64) -> Vec<String> {
     let families = contains_families(count, overlap);
     (0..count)

@@ -359,10 +359,26 @@ mod tests {
         outputs
     }
 
+    /// A scratch directory private to one test, removed on drop — even
+    /// when the test panics — so parallel tests never share state files.
+    struct TempDir(std::path::PathBuf);
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     fn with_schema_file(f: impl FnOnce(&str)) {
-        let dir = std::env::temp_dir().join(format!("mdv-shell-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("schema.mdv");
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let dir = TempDir(std::env::temp_dir().join(format!(
+            "mdv-shell-test-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        )));
+        std::fs::create_dir_all(&dir.0).unwrap();
+        let path = dir.0.join("schema.mdv");
         std::fs::write(
             &path,
             "class ServerInformation {\n  memory: int\n  cpu: int\n}\n\
@@ -371,7 +387,6 @@ mod tests {
         )
         .unwrap();
         f(path.to_str().unwrap());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
