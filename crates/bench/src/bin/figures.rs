@@ -391,8 +391,9 @@ fn run_ablation_updates(config: &Config) {
     let docs = if config.full { 500 } else { 200 };
     banner(
         "Ablation C: update/delete protocol (PATH rules)",
-        "expected shape: updates cost a small multiple of registration (three \
-         filter passes, §3.5); deletes similar",
+        "expected shape: an update runs three filter passes over one document \
+         (§3.5) with no batch amortization, so it costs well above a batched \
+         registration; deletes run the first two",
     );
     let (register, update, delete) = ablation_updates(rule_count, docs);
     println!("operation,ms_per_doc");

@@ -104,6 +104,10 @@ pub struct FilterEngine<S: StorageEngine = Database> {
     descendants: HashMap<String, Vec<String>>,
     /// class → that class plus all transitive superclasses.
     ancestors: HashMap<String, Vec<String>>,
+    /// Every `(class, property)` pair that is a strong reference, subclasses
+    /// included (they inherit the property): the reverse edges
+    /// [`FilterEngine::strong_referrers`] walks.
+    strong_props: Vec<(String, String)>,
     next_sub: u64,
     pub(crate) stats: FilterStats,
     config: FilterConfig,
@@ -165,6 +169,23 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
             }
             ancestors.insert(name.to_owned(), chain);
         }
+        let mut strong_props: Vec<(String, String)> = Vec::new();
+        for class in schema.class_names() {
+            let Some(def) = schema.class(class) else {
+                continue;
+            };
+            for p in &def.properties {
+                if let mdv_rdf::Range::Class {
+                    kind: RefKind::Strong,
+                    ..
+                } = p.range
+                {
+                    for sub in &descendants[class] {
+                        strong_props.push((sub.clone(), p.name.clone()));
+                    }
+                }
+            }
+        }
         Ok(FilterEngine {
             schema,
             store,
@@ -175,6 +196,7 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
             documents: HashMap::new(),
             descendants,
             ancestors,
+            strong_props,
             next_sub: 0,
             stats: FilterStats::default(),
             config,
@@ -657,7 +679,7 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
     /// scans its `(class, property)` partition. All paths emit matches in
     /// ascending rule-id order — the scan's order — so the choice is
     /// invisible in publications and traces.
-    fn match_triggers(&self, atoms: &[Atom]) -> Result<(Vec<(String, RuleId)>, u64)> {
+    pub(crate) fn match_triggers(&self, atoms: &[Atom]) -> Result<(Vec<(String, RuleId)>, u64)> {
         // probe only operator tables that currently hold rules
         let active_ops: Vec<TriggerOp> = TRIGGER_OPS
             .into_iter()
@@ -1264,29 +1286,11 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
     pub fn strong_referrers(&self, uri: &str) -> Result<Vec<String>> {
         let mut visited: BTreeSet<String> = BTreeSet::new();
         let mut stack: Vec<String> = vec![uri.to_owned()];
-        // collect all (class, property) pairs that are strong references
-        let mut strong_props: Vec<(String, String)> = Vec::new();
-        for class in self.schema.class_names() {
-            if let Some(def) = self.schema.class(class) {
-                for p in &def.properties {
-                    if let mdv_rdf::Range::Class {
-                        kind: RefKind::Strong,
-                        ..
-                    } = p.range
-                    {
-                        // instances of subclasses carry the property too
-                        for sub in self.descendants_of(class) {
-                            strong_props.push((sub.clone(), p.name.clone()));
-                        }
-                    }
-                }
-            }
-        }
         while let Some(cur) = stack.pop() {
             if !visited.insert(cur.clone()) {
                 continue;
             }
-            for (class, prop) in &strong_props {
+            for (class, prop) in &self.strong_props {
                 for referrer in BaseStore::resources_with_value(self.db(), class, prop, &cur)? {
                     stack.push(referrer);
                 }

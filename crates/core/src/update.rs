@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use mdv_rdf::{diff, diff_delete_all, Document, DocumentDiff, RDF_SUBJECT};
 use mdv_relstore::StorageEngine;
 
-use crate::atoms::RuleId;
+use crate::atoms::{AtomicRuleKind, RuleId};
 use crate::engine::{FilterEngine, Mode};
 use crate::error::{Error, Result};
 use crate::registry::{assemble_publications, Publication, SubscriptionId};
@@ -211,22 +211,37 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
         }
         // updates: an updated resource must be re-shipped to every
         // subscription whose matched resources reach it over strong
-        // references (it sits in their cached closure, §2.4)
+        // references (it sits in their cached closure, §2.4). Only end
+        // rules a referrer can reach are verified: those re-derived this
+        // round, and those its register chain leads to (see
+        // `end_rules_reachable`)
         let updated_uris: Vec<String> =
             d.updated.iter().map(|(_, n)| n.uri().to_string()).collect();
         for u in &updated_uris {
             let referrers = self.strong_referrers(u)?;
-            let end_rules: Vec<RuleId> = self.end_subs.keys().copied().collect();
-            for end in end_rules {
+            let mut reachable = Vec::with_capacity(referrers.len());
+            let mut candidates: BTreeSet<RuleId> = BTreeSet::new();
+            for r in &referrers {
+                let ends = self.end_rules_reachable(r)?;
+                candidates.extend(ends.iter().copied());
+                reachable.push(ends);
+            }
+            let referrer_set: HashSet<&str> = referrers.iter().map(String::as_str).collect();
+            candidates.extend(
+                survived
+                    .iter()
+                    .filter(|(_, uri)| referrer_set.contains(uri.as_str()))
+                    .map(|(rule, _)| *rule),
+            );
+            for end in candidates {
                 let mut reaches = false;
-                for r in &referrers {
-                    let key = (end, r.clone());
-                    if survived.contains(&key) {
+                for (r, ends) in referrers.iter().zip(&reachable) {
+                    if survived.contains(&(end, r.clone())) {
                         reaches = true;
                         break;
                     }
                     // not re-derived this round: consult the current state
-                    if self.check_match(end, r)? {
+                    if ends.contains(&end) && self.check_match(end, r)? {
                         reaches = true;
                         break;
                     }
@@ -244,9 +259,41 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
         Ok(assemble_publications(pubs))
     }
 
+    /// The end rules `uri` can currently match: every end rule reached from
+    /// a trigger rule `uri` matches by climbing join rules whose *register*
+    /// input is the rule below. A superset of the end rules `uri` matches,
+    /// because `check_match(join, uri)` requires `uri` to match the join's
+    /// register input, so every match bottoms out in a trigger `uri`
+    /// matches. Costs one trigger match over `uri`'s atoms plus the climb,
+    /// not one check per end rule. Work counters are left untouched: the
+    /// caller's `check_match` calls account for the verification.
+    fn end_rules_reachable(&self, uri: &str) -> Result<BTreeSet<RuleId>> {
+        let (triggers, _) = self.match_triggers(&self.atoms_from_store(uri)?)?;
+        let mut stack: Vec<RuleId> = triggers.into_iter().map(|(_, rule)| rule).collect();
+        let mut visited: HashSet<RuleId> = HashSet::new();
+        let mut ends = BTreeSet::new();
+        while let Some(rule) = stack.pop() {
+            if !visited.insert(rule) {
+                continue;
+            }
+            if self.end_subs.contains_key(&rule) {
+                ends.insert(rule);
+            }
+            for dep in self.graph.dependents_of(rule) {
+                if let Some(AtomicRuleKind::Join(spec)) = self.graph.rule(*dep).map(|r| &r.kind) {
+                    if spec.register_input().rule == rule {
+                        stack.push(*dep);
+                    }
+                }
+            }
+        }
+        Ok(ends)
+    }
+
     /// Rebuilds a resource's atoms from the base tables (candidate input of
-    /// pass 2; the resource may live in any document).
-    fn atoms_from_store(&self, uri: &str) -> Result<Vec<Atom>> {
+    /// pass 2 and of [`FilterEngine::end_rules_reachable`]; the resource may
+    /// live in any document).
+    pub(crate) fn atoms_from_store(&self, uri: &str) -> Result<Vec<Atom>> {
         let Some(class) = BaseStore::resource_class(self.db(), uri)? else {
             return Ok(Vec::new()); // deleted candidates have no atoms
         };
@@ -543,5 +590,209 @@ mod tests {
         a.sort();
         b.sort();
         assert_eq!(a, b);
+    }
+
+    /// Rules on `CycleProvider` alone: an update to the strongly referenced
+    /// ServerInformation matches no trigger, so no filter pass re-derives
+    /// the subscription's match and only the re-ship step can find it.
+    fn updated_info_subscribers(rule: &str) -> (FilterEngine, SubscriptionId) {
+        let mut e = FilterEngine::new(schema());
+        let (sub, _) = e.register_subscription(rule).unwrap();
+        let pubs = e.register_document(&doc(92)).unwrap();
+        assert_eq!(pubs.len(), 1, "{rule} matches the provider: {pubs:?}");
+        (e, sub)
+    }
+
+    #[test]
+    fn update_reaches_end_rule_through_depth_two_register_chain() {
+        let (mut e, sub) = updated_info_subscribers(
+            "search CycleProvider c register c where c.serverHost contains 'pirates' \
+             and c.serverHost contains 'passau' and c.serverPort > 1000",
+        );
+        // the end rule registers through a join that registers through a
+        // trigger: two join levels between the trigger and the end rule
+        let end = e.subscription(sub).unwrap().end_rules[0];
+        let register_input = |e: &FilterEngine, id: RuleId| match &e.graph().rule(id).unwrap().kind
+        {
+            AtomicRuleKind::Join(spec) => Some(spec.register_input().rule),
+            AtomicRuleKind::Trigger { .. } => None,
+        };
+        let mid = register_input(&e, end).expect("end rule is a join");
+        let bottom = register_input(&e, mid).expect("its register input is a join");
+        assert!(
+            register_input(&e, bottom).is_none(),
+            "chain ends in a trigger"
+        );
+
+        let pubs = e.update_document(&doc(128)).unwrap();
+        assert_eq!(pubs.len(), 1);
+        assert_eq!(pubs[0].subscription, sub);
+        assert!(pubs[0].added.is_empty() && pubs[0].removed.is_empty());
+        assert_eq!(pubs[0].updated, vec!["doc.rdf#info".to_owned()]);
+    }
+
+    #[test]
+    fn update_reaches_subclass_instance_under_superclass_rules() {
+        let schema = RdfSchema::builder()
+            .class("ServerInformation", |c| c.int("memory").int("cpu"))
+            .class("Provider", |c| {
+                c.str("serverHost")
+                    .strong_ref("serverInformation", "ServerInformation")
+            })
+            .class("CycleProvider", |c| c.extends("Provider").int("serverPort"))
+            .build()
+            .unwrap();
+        let mut e = FilterEngine::new(schema);
+        let (by_oid, _) = e
+            .register_subscription("search Provider p register p where p = 'doc.rdf#host'")
+            .unwrap();
+        let (by_class, _) = e
+            .register_subscription("search Provider p register p")
+            .unwrap();
+        let pubs = e.register_document(&doc(92)).unwrap();
+        assert_eq!(pubs.len(), 2);
+        let pubs = e.update_document(&doc(128)).unwrap();
+        let subs: Vec<SubscriptionId> = pubs.iter().map(|p| p.subscription).collect();
+        assert_eq!(subs, vec![by_oid, by_class]);
+        for p in &pubs {
+            assert_eq!(p.updated, vec!["doc.rdf#info".to_owned()]);
+        }
+    }
+
+    #[test]
+    fn update_reaches_second_end_rule_of_or_subscription() {
+        let (mut e, sub) = updated_info_subscribers(
+            "search CycleProvider c register c \
+             where c.serverHost contains 'nomatch' or c.serverPort > 1000",
+        );
+        assert_eq!(e.subscription(sub).unwrap().end_rules.len(), 2);
+        let pubs = e.update_document(&doc(128)).unwrap();
+        assert_eq!(pubs.len(), 1);
+        assert_eq!(pubs[0].subscription, sub);
+        assert_eq!(pubs[0].updated, vec!["doc.rdf#info".to_owned()]);
+    }
+
+    #[test]
+    fn update_with_unmatched_referrers_publishes_nothing() {
+        let mut e = FilterEngine::new(schema());
+        e.register_subscription("search CycleProvider c register c where c.serverPort > 9000")
+            .unwrap();
+        assert!(e.register_document(&doc(92)).unwrap().is_empty());
+        assert!(e.update_document(&doc(128)).unwrap().is_empty());
+    }
+
+    /// Rule and value vocabularies for the trigger-agreement property:
+    /// every trigger operator, numeric edge literals on both sides, and
+    /// (stored without validation) non-numeric text under numeric rules.
+    const NUMBERS: &[&str] = &["0", "-0", "-0.0", "1", "1.0", "0.5", "-1", "2"];
+    const DOC_NUMBERS: &[&str] = &[
+        "0", "-0", "0.0", "-0.0", "1", "1.0", "1e0", " 1 ", "0.5", "-1", "2", "NaN", "nan", "inf",
+        "-inf", "abc", "",
+    ];
+    const TEXTS: &[&str] = &[
+        "a.b",
+        "xa.b-c-d",
+        "v1",
+        "b",
+        "",
+        "-c-",
+        "a.b.c",
+        "\u{e9}t\u{e9}",
+    ];
+    const PATTERNS: &[&str] = &[".b", "a.b", "b", "-c-", "b-c", "v1", "\u{e9}t"];
+
+    fn agreement_rule(src: &mut mdv_testkit::Source) -> String {
+        let class = *src.choose(&["Item", "Special"]);
+        let op = *src.choose(&["=", "!=", "<", "<=", ">", ">="]);
+        let num = *src.choose(NUMBERS);
+        let pred = match src.usize_in(0..9) {
+            0 => format!("x = 'd.rdf#r{}'", src.usize_in(0..6)),
+            1 => format!("x != 'd.rdf#r{}'", src.usize_in(0..6)),
+            2 => return format!("search {class} x register x"),
+            3 => format!(
+                "x.name {} '{}'",
+                src.choose(&["=", "!="]),
+                src.choose(TEXTS)
+            ),
+            4 => format!("x.name contains '{}'", src.choose(PATTERNS)),
+            5 => format!("x.size {op} {num}"),
+            6 => format!("x.load {op} {num}"),
+            7 => format!("x.tags? contains '{}'", src.choose(PATTERNS)),
+            _ => format!("x.ports? {op} {num}"),
+        };
+        format!("search {class} x register x where {pred}")
+    }
+
+    fn agreement_resource(src: &mut mdv_testkit::Source, i: usize) -> Resource {
+        let class = *src.choose(&["Item", "Special"]);
+        let mut res = Resource::new(UriRef::new("d.rdf", &format!("r{i}")), class);
+        for (prop, pool, max) in [
+            ("name", TEXTS, 3),
+            ("size", DOC_NUMBERS, 2),
+            ("load", DOC_NUMBERS, 2),
+            ("tags", TEXTS, 4),
+            ("ports", DOC_NUMBERS, 4),
+        ] {
+            for _ in 0..src.usize_in(0..max) {
+                res = res.with(prop, Term::literal(*src.choose(pool)));
+            }
+        }
+        res
+    }
+
+    mdv_testkit::property! {
+        /// The premise of the re-ship step's candidate set: for every
+        /// trigger rule `t` and resource `r`, `check_match(t, r)` holds iff
+        /// `match_triggers(atoms_from_store(r))` yields `t` — on the
+        /// indexed route and on the scan. Resources go straight into the
+        /// base tables, so values a schema would reject (`NaN`, text under
+        /// a numeric rule, repeated single-valued properties) are covered.
+        fn trigger_matching_agrees_with_check_match(src) {
+            let schema = RdfSchema::builder()
+                .class("Item", |c| {
+                    c.str("name").int("size").float("load").str_set("tags").int_set("ports")
+                })
+                .class("Special", |c| c.extends("Item").str("label"))
+                .build()
+                .unwrap();
+            let mut e = FilterEngine::new(schema);
+            for _ in 0..src.usize_in(1..16) {
+                let rule = agreement_rule(src);
+                e.register_subscription(&rule)
+                    .unwrap_or_else(|err| panic!("{rule}: {err}"));
+            }
+            let uris: Vec<String> = (0..src.usize_in(1..8))
+                .map(|i| {
+                    let res = agreement_resource(src, i);
+                    BaseStore::insert_resource(&mut e.store, &res, "d.rdf").unwrap();
+                    res.uri().to_string()
+                })
+                .collect();
+            let triggers: Vec<RuleId> = e
+                .graph()
+                .rules_sorted()
+                .into_iter()
+                .filter(|r| matches!(r.kind, AtomicRuleKind::Trigger { .. }))
+                .map(|r| r.id)
+                .collect();
+            for indexed in [true, false] {
+                e.set_matching(indexed);
+                for uri in &uris {
+                    let (hits, _) = e.match_triggers(&e.atoms_from_store(uri).unwrap()).unwrap();
+                    let hits: BTreeSet<RuleId> = hits.into_iter().map(|(_, t)| t).collect();
+                    for &t in &triggers {
+                        let text = crate::atoms::AtomicRule::canonical_text(
+                            &e.graph().rule(t).unwrap().kind,
+                        );
+                        mdv_testkit::prop_assert_eq!(
+                            e.check_match(t, uri).unwrap(),
+                            hits.contains(&t),
+                            "rule {} on {} ({:?}), indexed={}",
+                            text, uri, e.resource(uri).unwrap(), indexed
+                        );
+                    }
+                }
+            }
+        }
     }
 }
